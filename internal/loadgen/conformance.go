@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // VerifyOptions tunes the conformance pass.
@@ -128,7 +129,7 @@ func (r *Runner) verifyDrives(ctx context.Context, res *Result, st *streamState,
 	for _, id := range ids {
 		want := res.Sched.Drives[id]
 		op := Op{Kind: OpDrive, Path: "/v1/drive/" + strconv.FormatUint(uint64(id), 10)}
-		code, body, dur, _, err := r.do(ctx, &op)
+		code, body, dur, _, err := r.do(ctx, &op, time.Time{})
 		st.record(OpDrive, code, dur)
 		if err != nil {
 			st.fail(err)

@@ -177,9 +177,11 @@ type versionReply struct {
 }
 
 // do fires one request and returns status code, body, latency, and the
-// server's Retry-After hint (0 when absent). A transport failure
-// returns code 0 and a nil body.
-func (r *Runner) do(ctx context.Context, op *Op) (int, []byte, time.Duration, time.Duration, error) {
+// server's Retry-After hint (0 when absent). Latency runs to the end of
+// the response body from due, the time the request was scheduled to go
+// out, or from the send when due is zero. A transport failure returns
+// code 0 and a nil body.
+func (r *Runner) do(ctx context.Context, op *Op, due time.Time) (int, []byte, time.Duration, time.Duration, error) {
 	var rd io.Reader
 	if op.Body != nil {
 		rd = bytes.NewReader(op.Body)
@@ -191,7 +193,10 @@ func (r *Runner) do(ctx context.Context, op *Op) (int, []byte, time.Duration, ti
 	if op.Body != nil {
 		req.Header.Set("Content-Type", op.Kind.ContentType())
 	}
-	start := time.Now()
+	start := due
+	if start.IsZero() {
+		start = time.Now()
+	}
 	resp, err := r.Client.Do(req)
 	if err != nil {
 		return 0, nil, time.Since(start), 0, err
@@ -257,14 +262,17 @@ func sleepRetry(ctx context.Context, d time.Duration) bool {
 // execute runs one op on a stream, including the retry loop for ingest
 // batches, and folds the outcome into the stream state. Sheds (429) are
 // always retried with Retry-After-aware backoff; transport errors and
-// 502/503/504 are retried too when RetryTransient is set.
-func (r *Runner) execute(ctx context.Context, st *streamState, op *Op) {
+// 502/503/504 are retried too when RetryTransient is set. The first
+// attempt's latency is timed from due (zero: from its send); a retry,
+// which goes out when its backoff ends, is timed from its own send.
+func (r *Runner) execute(ctx context.Context, st *streamState, op *Op, due time.Time) {
 	retries := r.MaxShedRetries
 	if retries <= 0 {
 		retries = defaultShedRetries
 	}
 	for attempt := 0; ; attempt++ {
-		code, body, dur, retryAfter, err := r.do(ctx, op)
+		code, body, dur, retryAfter, err := r.do(ctx, op, due)
+		due = time.Time{}
 		st.record(op.Kind, code, dur)
 		if err != nil {
 			if r.RetryTransient && op.Kind.ingest() && attempt < retries {
@@ -343,7 +351,10 @@ func (r *Runner) observe(st *streamState, op *Op, code int, body []byte) {
 }
 
 // runStream drives one stream to completion: closed-loop back-to-back,
-// or open-loop honoring each op's arrival offset.
+// or open-loop honoring each op's arrival offset. Open-loop latencies
+// are timed from each op's due time, not its send: a stream is
+// sequential, so a request queued behind a stalled one goes out late,
+// and timing it from the send would hide the stall from it.
 func (r *Runner) runStream(ctx context.Context, st *streamState, stream *Stream, start time.Time, open bool) {
 	for i := range stream.Ops {
 		if ctx.Err() != nil {
@@ -353,8 +364,10 @@ func (r *Runner) runStream(ctx context.Context, st *streamState, stream *Stream,
 			return
 		}
 		op := &stream.Ops[i]
+		var due time.Time
 		if open {
-			if wait := time.Until(start.Add(op.At)); wait > 0 {
+			due = start.Add(op.At)
+			if wait := time.Until(due); wait > 0 {
 				select {
 				case <-time.After(wait):
 				case <-ctx.Done():
@@ -363,7 +376,7 @@ func (r *Runner) runStream(ctx context.Context, st *streamState, stream *Stream,
 		}
 		watchStart := time.Now()
 		before := len(st.watch)
-		r.execute(ctx, st, op)
+		r.execute(ctx, st, op, due)
 		// Stamp the request start on any watchlist observation the op
 		// produced (execute can't know it before sending).
 		for j := before; j < len(st.watch); j++ {
@@ -461,7 +474,7 @@ func (res *Result) merge(st *streamState) {
 // scrapeMetrics fetches and parses /metrics, counting the request.
 func (r *Runner) scrapeMetrics(ctx context.Context, st *streamState) (map[string]float64, error) {
 	op := Op{Kind: OpMetrics, Path: "/metrics"}
-	code, body, dur, _, err := r.do(ctx, &op)
+	code, body, dur, _, err := r.do(ctx, &op, time.Time{})
 	st.record(OpMetrics, code, dur)
 	if err != nil {
 		return nil, err
@@ -475,7 +488,7 @@ func (r *Runner) scrapeMetrics(ctx context.Context, st *streamState) (map[string
 // readVersion fetches the serving model version, counting the request.
 func (r *Runner) readVersion(ctx context.Context, st *streamState) (int, error) {
 	op := Op{Kind: OpModel, Path: "/v1/model"}
-	code, body, dur, _, err := r.do(ctx, &op)
+	code, body, dur, _, err := r.do(ctx, &op, time.Time{})
 	st.record(OpModel, code, dur)
 	if err != nil {
 		return 0, err

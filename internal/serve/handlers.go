@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"ssdfail/internal/core"
 	"ssdfail/internal/faultfs"
 	"ssdfail/internal/remedy"
 	"ssdfail/internal/trace"
@@ -131,6 +132,7 @@ type Server struct {
 	ingested       *Counter
 	ingestRejected *CounterVec
 	scoredDrives   *Counter
+	rescoredDrives *Counter
 	scoreDur       *Histogram
 	loads          *Counter
 	reloads        *Counter
@@ -210,9 +212,12 @@ func New(cfg Config) (*Server, error) {
 	s.ingestRejected = m.NewCounterVec("ssdserved_ingest_rejected_total",
 		"Drive-day records rejected at ingest, by reason.", "reason")
 	s.scoredDrives = m.NewCounter("ssdserved_scored_drives_total",
-		"Drives scored by fleet scoring passes.")
+		"Drives ranked by fleet scoring passes, cached scores included.")
+	s.rescoredDrives = m.NewCounter("ssdserved_rescored_drives_total",
+		"Drives featurized and run through the model by fleet scoring passes; "+
+			"the rest of scored_drives_total came from the per-drive score cache.")
 	s.scoreDur = m.NewHistogram("ssdserved_scoring_duration_seconds",
-		"Latency of full-fleet scoring passes.", DurationBuckets)
+		"Latency of fleet scoring passes, served in part from the per-drive score cache.", DurationBuckets)
 	s.loads = m.NewCounter("ssdserved_model_loads_total",
 		"Successful model loads, including the startup load.")
 	s.reloads = m.NewCounter("ssdserved_model_reloads_total",
@@ -634,11 +639,7 @@ func (s *Server) handleWatchlist(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	begin := s.now()
-	units := s.store.ScoreUnits(int32(since))
-	scored := s.scorer.Score(pred, units)
-	s.scoreDur.Observe(s.now().Sub(begin).Seconds())
-	s.scoredDrives.Add(uint64(len(scored)))
+	scored := s.scoreFleet(pred, info.Version, int32(since))
 	if r.Context().Err() != nil {
 		writeError(w, http.StatusServiceUnavailable, "request deadline exceeded during scoring")
 		return
@@ -667,10 +668,22 @@ func (s *Server) handleWatchlist(w http.ResponseWriter, r *http.Request) {
 		"model_version": info.Version,
 		"lookahead":     info.Lookahead,
 		"threshold":     threshold,
-		"fleet_size":    len(units),
+		"fleet_size":    len(scored),
 		"count":         len(items),
 		"items":         items,
 	})
+}
+
+// scoreFleet runs one fleet scoring pass for the watchlist or a remedy
+// tick through the store's score cache and accounts it in the scoring
+// metrics: every drive ranked, and separately the drives rescored.
+func (s *Server) scoreFleet(pred *core.Predictor, version int, sinceDay int32) []Scored {
+	begin := s.now()
+	scored, rescored := s.store.ScoreFleet(s.scorer, pred, version, sinceDay)
+	s.scoreDur.Observe(s.now().Sub(begin).Seconds())
+	s.scoredDrives.Add(uint64(len(scored)))
+	s.rescoredDrives.Add(uint64(rescored))
+	return scored
 }
 
 func (s *Server) handleDrive(w http.ResponseWriter, r *http.Request) {

@@ -122,11 +122,7 @@ func (s *Server) handleRemedyEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.scoreSem }()
-	begin := s.now()
-	units := s.store.ScoreUnits(0)
-	scored := s.scorer.Score(pred, units)
-	s.scoreDur.Observe(s.now().Sub(begin).Seconds())
-	s.scoredDrives.Add(uint64(len(scored)))
+	scored := s.scoreFleet(pred, info.Version, 0)
 	if r.Context().Err() != nil {
 		writeError(w, http.StatusServiceUnavailable, "request deadline exceeded during scoring")
 		return

@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"ssdfail/internal/core"
@@ -97,21 +98,68 @@ func (sc *Scorer) Score(p *core.Predictor, units []ScoreUnit) []Scored {
 // Rank sorts scores descending (ties broken by drive ID for stable
 // output), drops entries below threshold, and truncates to the top k
 // (k <= 0 keeps all). It reorders items in place and returns the
-// ranked prefix.
+// ranked prefix. A k-sized heap selects the top k in one pass and only
+// those are sorted, so ranking a fleet for a short watchlist costs
+// O(n log k), not O(n log n).
 func Rank(items []Scored, threshold float64, k int) []Scored {
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].Score != items[b].Score {
-			return items[a].Score > items[b].Score
+	if k <= 0 || k > len(items) {
+		k = len(items)
+	}
+	// items[:n] is kept as a heap whose root is the entry ranked last
+	// among those kept; every later entry at or above threshold that
+	// outranks the root replaces it. The swaps keep items a permutation
+	// of its input.
+	n := 0
+	for i := range items {
+		if items[i].Score < threshold {
+			continue
 		}
-		return items[a].ID < items[b].ID
-	})
-	cut := len(items)
-	for cut > 0 && items[cut-1].Score < threshold {
-		cut--
+		if n < k {
+			items[n], items[i] = items[i], items[n]
+			n++
+			if n == k {
+				for j := k/2 - 1; j >= 0; j-- {
+					siftDown(items[:k], j)
+				}
+			}
+			continue
+		}
+		if rankCmp(items[i], items[0]) < 0 {
+			items[0], items[i] = items[i], items[0]
+			siftDown(items[:k], 0)
+		}
 	}
-	items = items[:cut]
-	if k > 0 && len(items) > k {
-		items = items[:k]
-	}
+	items = items[:n]
+	slices.SortFunc(items, rankCmp)
 	return items
+}
+
+// rankCmp orders by descending score, then ascending drive ID.
+func rankCmp(a, b Scored) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// siftDown restores the heap property below j: every parent ranks
+// after both of its children.
+func siftDown(h []Scored, j int) {
+	for {
+		c := 2*j + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && rankCmp(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if rankCmp(h[c], h[j]) <= 0 {
+			return
+		}
+		h[j], h[c] = h[c], h[j]
+		j = c
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ssdfail/internal/core"
 	"ssdfail/internal/trace"
 )
 
@@ -41,6 +42,25 @@ type storeShard struct {
 type driveState struct {
 	model  trace.Model
 	recent []trace.DayRecord // ascending by Day, at most history entries
+
+	// score caches the drive's last score and scoreVer the registry
+	// model version that produced it (ModelInfo.Version; 0 = no cached
+	// score). Every mutation of recent resets scoreVer, so a nonzero
+	// scoreVer always describes the drive's current records.
+	score    float64
+	scoreVer int
+}
+
+// unit copies out the drive's scoring input: its latest report and the
+// one before it. The drive must hold at least one report.
+func (st *driveState) unit(id uint32) ScoreUnit {
+	n := len(st.recent)
+	u := ScoreUnit{ID: id, Model: st.model, Last: st.recent[n-1]}
+	if n > 1 {
+		u.Prev = st.recent[n-2]
+		u.HasPrev = true
+	}
+	return u
 }
 
 // NewStore builds a store with the given shard count (rounded up to a
@@ -141,6 +161,7 @@ func (s *Store) UpsertCommit(id uint32, model trace.Model, rec trace.DayRecord, 
 		st.recent = append(st.recent, rec)
 		s.records.Add(1)
 	}
+	st.scoreVer = 0
 	return nil
 }
 
@@ -213,6 +234,7 @@ func (s *Store) Restore(d DriveSnapshot) {
 	}
 	st.model = d.Model
 	st.recent = append([]trace.DayRecord(nil), recent...)
+	st.scoreVer = 0
 	s.records.Add(int64(len(st.recent)))
 }
 
@@ -238,7 +260,33 @@ type ScoreUnit struct {
 // reporting. Shards are drained one at a time under their read lock, so
 // ingest proceeds on other shards concurrently.
 func (s *Store) ScoreUnits(sinceDay int32) []ScoreUnit {
-	units := make([]ScoreUnit, 0, s.Len())
+	units, _ := s.scan(sinceDay, 0, make([]ScoreUnit, 0, s.Len()), nil)
+	return units
+}
+
+// ScoreFleet scores every drive whose latest report is at or after
+// sinceDay with pred, the predictor the registry published as model
+// version. A drive whose cached score came from that version and whose
+// records have not changed since yields the cached score; only the rest
+// are copied out and run through sc, so a pass costs the drives changed
+// since the last pass, not the fleet. Results come in no particular
+// order (Rank sorts). rescored counts the drives actually scored.
+func (s *Store) ScoreFleet(sc *Scorer, pred *core.Predictor, version int, sinceDay int32) (scored []Scored, rescored int) {
+	stale, cached := s.scan(sinceDay, version, nil, make([]Scored, 0, s.Len()))
+	if len(stale) == 0 {
+		return cached, 0
+	}
+	fresh := sc.Score(pred, stale)
+	s.cacheScores(version, stale, fresh)
+	return append(cached, fresh...), len(stale)
+}
+
+// scan walks every shard under its read lock, one shard at a time, and
+// splits the drives whose latest report is at or after sinceDay: a drive
+// holding a cached score from model version goes to cached, every other
+// one is copied to stale. Version 0 matches no drive, so it copies out
+// the whole fleet.
+func (s *Store) scan(sinceDay int32, version int, stale []ScoreUnit, cached []Scored) ([]ScoreUnit, []Scored) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
@@ -247,15 +295,33 @@ func (s *Store) ScoreUnits(sinceDay int32) []ScoreUnit {
 			if n == 0 || st.recent[n-1].Day < sinceDay {
 				continue
 			}
-			u := ScoreUnit{ID: id, Model: st.model, Last: st.recent[n-1]}
-			if n > 1 {
-				u.Prev = st.recent[n-2]
-				u.HasPrev = true
+			if version != 0 && st.scoreVer == version {
+				last := &st.recent[n-1]
+				//ssdlint:allow maporder scoring order is irrelevant: Rank sorts by score with an ID tie-break before anything is emitted
+				cached = append(cached, Scored{ID: id, Model: st.model, Score: st.score, Day: last.Day, Age: last.Age})
+				continue
 			}
 			//ssdlint:allow maporder scoring order is irrelevant: Rank sorts by score with an ID tie-break before anything is emitted
-			units = append(units, u)
+			stale = append(stale, st.unit(id))
 		}
 		sh.mu.RUnlock()
 	}
-	return units
+	return stale, cached
+}
+
+// cacheScores writes scored[i] back as the cached score of units[i]'s
+// drive, under the shard's write lock. A score is a pure function of the
+// model version and the unit, so it is cached only if the drive still
+// holds exactly the records that were scored; a drive mutated or
+// restored meanwhile keeps its reset cache and is rescored next pass.
+func (s *Store) cacheScores(version int, units []ScoreUnit, scored []Scored) {
+	for i := range units {
+		u := &units[i]
+		sh := s.shard(u.ID)
+		sh.mu.Lock()
+		if st, ok := sh.m[u.ID]; ok && len(st.recent) > 0 && st.unit(u.ID) == *u {
+			st.score, st.scoreVer = scored[i].Score, version
+		}
+		sh.mu.Unlock()
+	}
 }
